@@ -51,8 +51,7 @@ type NetChaosKernel struct {
 	BaselineLinkS  float64 `json:"baseline_link_s,omitempty"`
 	AdaptedLinkS   float64 `json:"adapted_link_s,omitempty"`
 	// Identical confirms the faulted outputs matched the clean run bit for
-	// bit (cloud-completed rows only; fallback rows verify against the
-	// serial reference instead).
+	// bit. Fallback rows, which finish on the host, are compared too.
 	Identical bool `json:"identical"`
 }
 
@@ -161,10 +160,14 @@ func runNetPartition(b *kernels.Benchmark, overlap bool, n int, seed int64, clea
 		return err
 	}
 	defer plugin.Close()
-	rep, _, err := netChaosRun(b, plugin, n, seed)
+	rep, outs, err := netChaosRun(b, plugin, n, seed)
 	if err != nil {
 		return err
 	}
+	if err := compareOutputs(clean.outs, outs); err != nil {
+		return err
+	}
+	row.Identical = true
 	row.FellBack = rep.FellBack
 	row.FallbackReason = rep.FallbackReason
 	row.StorageRetries = rep.StorageRetries

@@ -11,14 +11,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 )
 
 // FloatSize is the byte width of one matrix element.
 const FloatSize = 4
 
-// Floats reinterprets a byte buffer as float32 values without copying the
-// semantic content (a decoded copy is made; Go's stdlib-only constraint rules
-// out unsafe aliasing, and benchmark kernels operate on the decoded slice).
+// Floats decodes a byte buffer into a fresh float32 slice the caller owns
+// and may mutate. Read-only consumers should use View, which avoids the copy.
 func Floats(b []byte) []float32 {
 	if len(b)%FloatSize != 0 {
 		panic(fmt.Sprintf("data: buffer of %d bytes is not a whole number of float32s", len(b)))
@@ -28,6 +28,28 @@ func Floats(b []byte) []float32 {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*FloatSize:]))
 	}
 	return out
+}
+
+// nativeLittleEndian reports whether the host's float32 memory layout is
+// the wire layout, so that a buffer can be read in place.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// View returns b's float32 values for reading. On a little-endian host with
+// a 4-byte-aligned b it aliases b without copying: the view sees later
+// writes to b, and nobody may write through it. Otherwise it falls back to
+// the decoding copy Floats makes. An empty b gives nil; a length that is
+// not a whole number of float32s panics, like Floats.
+func View(b []byte) []float32 {
+	if len(b)%FloatSize != 0 {
+		panic(fmt.Sprintf("data: buffer of %d bytes is not a whole number of float32s", len(b)))
+	}
+	if len(b) == 0 {
+		return nil
+	}
+	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%FloatSize == 0 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/FloatSize)
+	}
+	return Floats(b)
 }
 
 // Bytes serializes float32 values into the wire/file layout.

@@ -46,6 +46,55 @@ func TestFloatsBadLengthPanics(t *testing.T) {
 	Floats(make([]byte, 6))
 }
 
+// TestViewAliasing pins View's contract: an aligned buffer is aliased on a
+// little-endian host (a write to the bytes shows through the view), a
+// misaligned one is decoded into a copy, an empty one gives nil, and a
+// ragged length panics.
+func TestViewAliasing(t *testing.T) {
+	want := []float32{1, -2.5, 3, float32(math.Inf(-1))}
+	n := len(want) * FloatSize
+	// One spare byte, so that buf[1:n+1] is misaligned whatever the
+	// allocator's alignment; make itself returns at least 8-byte alignment.
+	buf := make([]byte, n+1)
+	copy(buf, Bytes(want))
+
+	v := View(buf[:n])
+	for i := range want {
+		if math.Float32bits(v[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("aligned view[%d] = %v, want %v", i, v[i], want[i])
+		}
+	}
+	PutFloat(buf, 0, 7)
+	if aliased := v[0] == 7; aliased != nativeLittleEndian {
+		t.Fatalf("aligned view aliased = %v on a host with little-endian = %v", aliased, nativeLittleEndian)
+	}
+
+	copy(buf[1:], Bytes(want))
+	m := View(buf[1 : n+1])
+	for i := range want {
+		if math.Float32bits(m[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("misaligned view[%d] = %v, want %v", i, m[i], want[i])
+		}
+	}
+	PutFloat(buf[1:], 0, 9)
+	if m[0] == 9 {
+		t.Fatal("misaligned view must be a copy, but it aliases the buffer")
+	}
+
+	if got := View(nil); got != nil {
+		t.Fatalf("View(nil) = %v, want nil", got)
+	}
+	if got := View(buf[:0]); got != nil {
+		t.Fatalf("View(empty) = %v, want nil", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for non-multiple-of-4 buffer")
+		}
+	}()
+	View(make([]byte, 6))
+}
+
 func TestPutGetFloat(t *testing.T) {
 	b := make([]byte, 12)
 	PutFloat(b, 1, 42.5)

@@ -22,8 +22,10 @@ import (
 //     region (e.g. the matrix dimension N).
 //   - in[k] is the k-th mapped input in clause order: for a partitioned
 //     input, the byte window covering exactly iterations [lo, hi); for an
-//     unpartitioned (broadcast) input, the whole buffer. Inputs are
-//     read-only.
+//     unpartitioned (broadcast) input, the whole buffer. Inputs may alias
+//     the runtime's buffers, a remote worker's broadcast cache (shared by
+//     every later tile on its connection) or the user's own data, so a
+//     body must never write to them; data.View reads them in place.
 //   - out[l] is the l-th mapped output: for a partitioned output, a
 //     writable window covering [lo, hi); for an unpartitioned output, a
 //     zero-initialized full-size buffer that the runtime later combines

@@ -27,15 +27,17 @@ const CollinearEps = 1e-4
 // The loop bodies below are the fat-binary "native kernels" the Spark
 // workers invoke (the JNI_region functions of the paper's Fig. 2). Each
 // computes iterations [lo, hi) of the annotated outer loop; partitioned
-// buffers arrive as tile-local windows, unpartitioned ones whole.
+// buffers arrive as tile-local windows, unpartitioned ones whole. Inputs
+// are read in place through data.View, never decoded into per-tile
+// copies, so a broadcast buffer costs nothing per tile.
 func init() {
 	// mm: plain matrix multiplication C = A x B over n x n linearized
 	// matrices. ins: [A rows lo..hi, B whole]; outs: [C rows lo..hi].
 	// Shared by MgBench Mat-mul and as the building block of 2MM/3MM.
 	fatbin.Register("mm", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		b := data.Floats(in[1])
+		a := data.View(in[0])
+		b := data.View(in[1])
 		rows := int(hi - lo)
 		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
@@ -61,8 +63,8 @@ func init() {
 	// Used by the no-partitioning ablation (Listing 1 without Listing 2).
 	fatbin.Register("mm.bcast", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0]) // whole A
-		b := data.Floats(in[1])
+		a := data.View(in[0]) // whole A
+		b := data.View(in[1])
 		rows := int(hi - lo)
 		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
@@ -84,9 +86,9 @@ func init() {
 	// outs: [C rows].
 	fatbin.Register("gemm", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		b := data.Floats(in[1])
-		cin := data.Floats(in[2])
+		a := data.View(in[0])
+		b := data.View(in[1])
+		cin := data.View(in[2])
 		rows := int(hi - lo)
 		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
@@ -111,8 +113,8 @@ func init() {
 	// scalars: [n].
 	fatbin.Register("syrk", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		cin := data.Floats(in[1])
+		a := data.View(in[0])
+		cin := data.View(in[1])
 		rows := int(hi - lo)
 		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
@@ -135,9 +137,9 @@ func init() {
 	// B whole, C rows]; outs: [C rows]; scalars: [n].
 	fatbin.Register("syr2k", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		b := data.Floats(in[1])
-		cin := data.Floats(in[2])
+		a := data.View(in[0])
+		b := data.View(in[1])
+		cin := data.View(in[2])
 		rows := int(hi - lo)
 		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
@@ -164,16 +166,19 @@ func init() {
 	fatbin.Register("covar.mean", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		m := int(scalars[1])
-		d := data.Floats(in[0])
-		cols := int(hi - lo)
-		mean := make([]float32, cols)
-		for j := 0; j < cols; j++ {
-			gj := int(lo) + j
-			var s float32
-			for i := 0; i < m; i++ {
-				s += d[i*n+gj]
+		d := data.View(in[0])
+		// Row i of d is read contiguously into a row of column sums;
+		// each sum still adds i in ascending order, as the serial
+		// reference does, so the result is bit-identical.
+		mean := make([]float32, hi-lo)
+		for i := 0; i < m; i++ {
+			row := d[i*n+int(lo) : i*n+int(hi)]
+			for j, v := range row {
+				mean[j] += v
 			}
-			mean[j] = s / float32(m)
+		}
+		for j := range mean {
+			mean[j] /= float32(m)
 		}
 		writeFloats(out[0], mean)
 		return nil
@@ -185,20 +190,26 @@ func init() {
 	fatbin.Register("covar.sym", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		m := int(scalars[1])
-		d := data.Floats(in[0])
-		mean := data.Floats(in[1])
+		d := data.View(in[0])
+		mean := data.View(in[1])
 		rows := int(hi - lo)
 		sym := make([]float32, rows*n)
 		for j1 := 0; j1 < rows; j1++ {
 			gj1 := int(lo) + j1
 			m1 := mean[gj1]
-			for j2 := 0; j2 < n; j2++ {
-				m2 := mean[j2]
-				var acc float32
-				for i := 0; i < m; i++ {
-					acc += (d[i*n+gj1] - m1) * (d[i*n+j2] - m2)
+			// A row of accumulators, one per j2, fed a row of d at a
+			// time: every acc[j2] sums i in ascending order with the
+			// reference's expression, so the result is bit-identical.
+			acc := sym[j1*n : (j1+1)*n]
+			for i := 0; i < m; i++ {
+				di := d[i*n : (i+1)*n]
+				a := di[gj1] - m1
+				for j2, m2 := range mean[:n] {
+					acc[j2] += a * (di[j2] - m2)
 				}
-				sym[j1*n+j2] = acc / float32(m-1)
+			}
+			for j2 := range acc {
+				acc[j2] /= float32(m - 1)
 			}
 		}
 		writeFloats(out[0], sym)
@@ -214,7 +225,7 @@ func init() {
 	// [count, one float32, reduction(+)]; scalars: [npoints].
 	fatbin.Register("collinear", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		pts := data.Floats(in[0])
+		pts := data.View(in[0])
 		var count float32
 		for gi := int(lo); gi < int(hi); gi++ {
 			xi, yi := pts[2*gi], pts[2*gi+1]

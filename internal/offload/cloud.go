@@ -1119,6 +1119,27 @@ func (p *CloudPlugin) runSparkJobWith(r *Region, tiles int, decoded [][]byte, sc
 			bcastRaw += int64(len(decoded[k]))
 		}
 	}
+	// With remote workers, each broadcast input is hashed once per job
+	// into its content key, so that a worker connection receives its
+	// bytes once and later tiles carry only the key. The first tile to
+	// ship hashes: under the streaming dataflow the buffers are still
+	// filling when the job starts, and a tile's gate opens only once
+	// every broadcast input is whole.
+	var keys func() []remoteexec.Key
+	if p.pool != nil {
+		keys = sync.OnceValue(func() []remoteexec.Key {
+			var ks []remoteexec.Key // nil: no broadcast inputs
+			for k := range r.Ins {
+				if !r.Ins[k].Partitioned() {
+					if ks == nil {
+						ks = make([]remoteexec.Key, len(r.Ins))
+					}
+					ks[k] = remoteexec.KeyOf(decoded[k])
+				}
+			}
+			return ks
+		})
+	}
 	bc := spark.NewBroadcast(p.sctx, bcastIns{bufs: unpart}, bcastRaw)
 
 	rdd, err := spark.Range(p.sctx, int64(tiles), tiles)
@@ -1169,7 +1190,7 @@ func (p *CloudPlugin) runSparkJobWith(r *Region, tiles int, decoded [][]byte, sc
 			worker := p.sctx.PartitionWorker(part, tiles)
 			outs, err := p.pool.Run(worker, &remoteexec.TileRequest{
 				Kernel: r.Kernel, Lo: r.Base + lo, Hi: r.Base + hi, Scalars: r.Scalars,
-				Ins: ins, OutSizes: outSizes, OutInit: outInit,
+				Ins: ins, Keys: keys(), OutSizes: outSizes, OutInit: outInit,
 			})
 			if err != nil {
 				return nil, err

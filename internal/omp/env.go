@@ -179,7 +179,7 @@ func (e *DataEnv) Close() (*trace.Report, error) {
 		if m.dir == dirTo || m.floats == nil {
 			continue
 		}
-		copy(m.floats, data.Floats(m.bytes))
+		copy(m.floats, data.View(m.bytes))
 	}
 	return rep, nil
 }

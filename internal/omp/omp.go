@@ -260,7 +260,7 @@ func (t *TargetRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*t
 		if m.dir == dirTo || m.floats == nil {
 			continue
 		}
-		copy(m.floats, data.Floats(m.bytes))
+		copy(m.floats, data.View(m.bytes))
 	}
 	return rep, nil
 }
